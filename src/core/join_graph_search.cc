@@ -1,6 +1,7 @@
 #include "core/join_graph_search.h"
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 #include <unordered_set>
 
@@ -107,7 +108,8 @@ JoinGraphSearchResult SearchJoinGraphs(
       cand.projection = combo;
       cand.score = g.score;
       cand.graph = std::move(g);
-      std::string key = cand.graph.Signature() + "|";
+      cand.signature = cand.graph.Signature();
+      std::string key = cand.signature + "|";
       std::vector<uint64_t> proj;
       for (const ColumnRef& c : cand.projection) proj.push_back(c.Encode());
       std::sort(proj.begin(), proj.end());
@@ -124,12 +126,24 @@ JoinGraphSearchResult SearchJoinGraphs(
   result.num_joinable_groups = static_cast<int64_t>(joinable_groups.size());
   result.num_join_graphs = static_cast<int64_t>(result.candidates.size());
 
-  // Step 2: rank and materialize top-k.
-  std::sort(result.candidates.begin(), result.candidates.end(),
-            [](const ViewCandidate& a, const ViewCandidate& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.graph.Signature() < b.graph.Signature();
-            });
+  // Step 2: rank and materialize top-k. Candidates sharing a graph (same
+  // score and signature, different projection) tie, so the order among
+  // them is whatever std::sort leaves; sorting an index permutation with
+  // the same comparator keeps exactly that order while comparing the
+  // precomputed signatures instead of rebuilding them per comparison.
+  std::vector<size_t> order(result.candidates.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  const std::vector<ViewCandidate>& cands = result.candidates;
+  std::sort(order.begin(), order.end(), [&cands](size_t a, size_t b) {
+    if (cands[a].score != cands[b].score) {
+      return cands[a].score > cands[b].score;
+    }
+    return cands[a].signature < cands[b].signature;
+  });
+  std::vector<ViewCandidate> ranked;
+  ranked.reserve(order.size());
+  for (size_t i : order) ranked.push_back(std::move(result.candidates[i]));
+  result.candidates = std::move(ranked);
 
   if (options.materialize_views) {
     result.views =
@@ -154,11 +168,13 @@ bool CandidateMaterializer::Materialize(const ViewCandidate& candidate) {
   // Views with identical content are still distinct candidates (the 4C
   // stage is what merges compatible views); dedupe only exact
   // graph+projection duplicates produced by symmetric enumeration.
-  std::string key = candidate.graph.Signature();
+  std::string key = candidate.signature.empty() ? candidate.graph.Signature()
+                                                : candidate.signature;
   for (const ColumnRef& c : candidate.projection) {
-    key += "|" + std::to_string(c.Encode());
+    key.push_back('|');
+    key += std::to_string(c.Encode());
   }
-  if (!seen_views_.insert(key).second) return false;
+  if (!seen_views_.insert(std::move(key)).second) return false;
   ++next_id_;
   views_.push_back(std::move(view).value());
   return true;

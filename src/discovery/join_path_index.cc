@@ -1,7 +1,7 @@
 #include "discovery/join_path_index.h"
 
 #include <algorithm>
-#include <functional>
+#include <numeric>
 #include <unordered_set>
 
 #include "util/check.h"
@@ -352,35 +352,48 @@ std::vector<int32_t> JoinPathIndex::AdjacentTables(int32_t table) const {
   return it == adjacency_.end() ? std::vector<int32_t>{} : it->second;
 }
 
+void JoinPathIndex::ExtendPaths(
+    int32_t to, int hops_left, std::vector<int32_t>* current,
+    std::vector<std::vector<int32_t>>* paths) const {
+  auto it = adjacency_.find(current->back());
+  if (it == adjacency_.end()) return;
+  const std::vector<int32_t>& neighbors = it->second;
+  if (hops_left == 1) {
+    // Last hop: only `to` itself completes a path. It is never on the
+    // path yet (reaching it ends the walk), and adjacency lists are sorted.
+    if (std::binary_search(neighbors.begin(), neighbors.end(), to)) {
+      current->push_back(to);
+      paths->push_back(*current);
+      current->pop_back();
+    }
+    return;
+  }
+  for (int32_t next : neighbors) {
+    if (std::find(current->begin(), current->end(), next) != current->end()) {
+      continue;  // simple paths only
+    }
+    current->push_back(next);
+    if (next == to) {
+      paths->push_back(*current);
+    } else {
+      ExtendPaths(to, hops_left - 1, current, paths);
+    }
+    current->pop_back();
+  }
+}
+
 std::vector<std::vector<int32_t>> JoinPathIndex::TablePaths(
     int32_t from, int32_t to, int max_hops) const {
   std::vector<std::vector<int32_t>> paths;
   std::vector<int32_t> current{from};
-  std::unordered_set<int32_t> on_path{from};
-
-  // Depth-first enumeration of simple paths with at most max_hops edges.
-  std::function<void(int32_t, int)> dfs = [&](int32_t node, int hops_left) {
-    if (node == to) {
-      paths.push_back(current);
-      return;
-    }
-    if (hops_left == 0) return;
-    auto it = adjacency_.find(node);
-    if (it == adjacency_.end()) return;
-    for (int32_t next : it->second) {
-      if (on_path.count(next)) continue;
-      current.push_back(next);
-      on_path.insert(next);
-      dfs(next, hops_left - 1);
-      on_path.erase(next);
-      current.pop_back();
-    }
-  };
   if (from == to) {
     paths.push_back(current);
-    return paths;
+  } else if (max_hops > 0) {
+    // Depth-first enumeration of simple paths with at most max_hops edges;
+    // `current` holds at most max_hops + 1 tables.
+    current.reserve(static_cast<size_t>(max_hops) + 1);
+    ExtendPaths(to, max_hops, &current, &paths);
   }
-  dfs(from, max_hops);
   return paths;
 }
 
@@ -453,8 +466,10 @@ std::vector<JoinGraph> JoinPathIndex::GenerateJoinGraphs(
     partial = std::move(next);
   }
 
-  // Normalize, dedupe by signature, sort by score.
+  // Normalize, dedupe by signature, sort by score. Each kept graph's
+  // signature is computed once and reused as its sort key.
   std::unordered_set<std::string> seen;
+  std::vector<std::string> signatures;
   for (JoinGraph& g : partial) {
     // Drop duplicate edges introduced by composing overlapping segments.
     std::sort(g.edges.begin(), g.edges.end(),
@@ -468,16 +483,24 @@ std::vector<JoinGraph> JoinPathIndex::GenerateJoinGraphs(
                               }),
                   g.edges.end());
     NormalizeJoinGraph(&g, unique_tables);
-    if (seen.insert(g.Signature()).second) {
+    std::string sig = g.Signature();
+    if (seen.insert(sig).second) {
       graphs.push_back(std::move(g));
+      signatures.push_back(std::move(sig));
     }
   }
-  std::sort(graphs.begin(), graphs.end(),
-            [](const JoinGraph& a, const JoinGraph& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.Signature() < b.Signature();
-            });
-  return graphs;
+  std::vector<size_t> order(graphs.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    if (graphs[a].score != graphs[b].score) {
+      return graphs[a].score > graphs[b].score;
+    }
+    return signatures[a] < signatures[b];
+  });
+  std::vector<JoinGraph> ranked;
+  ranked.reserve(order.size());
+  for (size_t i : order) ranked.push_back(std::move(graphs[i]));
+  return ranked;
 }
 
 }  // namespace ver

@@ -167,6 +167,11 @@ class JoinPathIndex {
   // Simple table paths a -> b with <= max_hops edges (excluding cycles).
   std::vector<std::vector<int32_t>> TablePaths(int32_t from, int32_t to,
                                                int max_hops) const;
+  // TablePaths' depth-first step: appends every simple path that extends
+  // `current` (ending at a table other than `to`) by at most `hops_left`
+  // (>= 1) edges and ends at `to`, in adjacency order.
+  void ExtendPaths(int32_t to, int hops_left, std::vector<int32_t>* current,
+                   std::vector<std::vector<int32_t>>* paths) const;
 
   // Expands one table path into concrete join graphs (one column pair per
   // consecutive table pair), capped at options_.max_graphs_per_path.

@@ -2,18 +2,23 @@
 //
 // The paper implements this component on pandas; here it is a small columnar
 // executor: BFS over the join graph, hash join per edge, then projection with
-// set semantics. Views can optionally be spilled to CSV so that downstream
-// stages measure the "read views from disk" cost the paper reports (Fig. 3/4).
+// set semantics. Join state is struct-of-arrays (one row-index column per
+// bound table), so filter and extend steps are gather passes with no
+// per-tuple allocation. Views can optionally be spilled to CSV so that
+// downstream stages measure the "read views from disk" cost the paper
+// reports (Fig. 3/4).
 
 #ifndef VER_ENGINE_MATERIALIZER_H_
 #define VER_ENGINE_MATERIALIZER_H_
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "discovery/join_graph.h"
 #include "engine/view.h"
 #include "storage/repository.h"
+#include "util/flat_multimap.h"
 #include "util/result.h"
 
 namespace ver {
@@ -29,7 +34,12 @@ struct MaterializeOptions {
   std::string spill_dir;
 };
 
-/// Stateless executor bound to one repository.
+/// Executor bound to one repository. It caches each hash-join build side
+/// (a FlatU64MultiMap over one key column) by (table, column) for its
+/// whole life, so the many join graphs of one query that share tables and
+/// keys build each side once. One instance serves one query on one thread
+/// (CandidateMaterializer owns it); the repository's tables must not change
+/// while it lives.
 class Materializer {
  public:
   explicit Materializer(const TableRepository* repo) : repo_(repo) {}
@@ -39,16 +49,20 @@ class Materializer {
   Result<Table> Materialize(const JoinGraph& graph,
                             const std::vector<ColumnRef>& projection,
                             const MaterializeOptions& options,
-                            std::string view_name) const;
+                            std::string view_name);
 
   /// Materializes and wraps into a View (id assigned by the caller).
   Result<View> MaterializeView(const JoinGraph& graph,
                                const std::vector<ColumnRef>& projection,
                                const MaterializeOptions& options,
-                               int64_t view_id) const;
+                               int64_t view_id);
 
  private:
+  /// The build side over `key`'s non-null rows, built on first use.
+  const FlatU64MultiMap& BuildSide(const ColumnRef& key);
+
   const TableRepository* repo_;
+  std::unordered_map<uint64_t, FlatU64MultiMap> build_cache_;  // Encode() key
 };
 
 }  // namespace ver

@@ -157,22 +157,25 @@ void BufferPool::Pin(uint32_t space, uint64_t offset, uint64_t len) {
       }
       // Miss: this thread is the single loader. The pin is taken before
       // the lock drops so eviction can never reclaim the frame mid-load.
+      // The frame is charged, and colder frames evicted down to the
+      // budget, before its pages fault in; only then is the peak taken,
+      // so the peak exceeds the budget only when pins overcommit it.
       ++stats_.misses;
       f.loading = true;
       f.pins = 1;
       ++sit->second.frame_count;
       const char* addr = sit->second.base + fi * options_.frame_bytes;
       uint64_t flen = FrameLen(sit->second, fi);
+      stats_.resident_bytes += static_cast<int64_t>(flen);
+      EvictToBudget();
+      stats_.peak_resident_bytes =
+          std::max(stats_.peak_resident_bytes, stats_.resident_bytes);
       mu_.Unlock();
       PrefaultPages(addr, static_cast<size_t>(flen));
       mu_.Lock();
       f.loading = false;
       f.resident = true;
-      stats_.resident_bytes += static_cast<int64_t>(flen);
-      stats_.peak_resident_bytes =
-          std::max(stats_.peak_resident_bytes, stats_.resident_bytes);
       load_cv_.NotifyAll();
-      EvictToBudget();
       break;
     }
   }

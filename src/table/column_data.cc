@@ -210,8 +210,8 @@ void ColumnData::Reserve(int64_t rows) {
   }
 }
 
-void ColumnData::Append(const CellView& v) {
-  EnsureOwned();
+template <typename HashFn>
+void ColumnData::AppendImpl(const CellView& v, const HashFn& hash) {
   switch (v.type()) {
     case ValueType::kNull:
       // Placeholder payload keeps per-row arrays aligned with the bitmap.
@@ -250,7 +250,7 @@ void ColumnData::Append(const CellView& v) {
           break;
         }
         case ColumnEncoding::kDict:
-          codes_.mut().push_back(Intern(v));
+          codes_.mut().push_back(Intern(v, hash()));
           break;
         case ColumnEncoding::kDouble:
           break;  // unreachable: promoted above
@@ -278,7 +278,7 @@ void ColumnData::Append(const CellView& v) {
           break;
         }
         case ColumnEncoding::kDict:
-          codes_.mut().push_back(Intern(v));
+          codes_.mut().push_back(Intern(v, hash()));
           break;
         case ColumnEncoding::kInt64:
           break;  // unreachable: converted above
@@ -287,12 +287,26 @@ void ColumnData::Append(const CellView& v) {
       break;
     case ValueType::kString:
       if (enc_ != ColumnEncoding::kDict) PromoteToDict();
-      codes_.mut().push_back(Intern(v));
+      codes_.mut().push_back(Intern(v, hash()));
       ++num_strings_;
       break;
   }
   AppendValidityBit(true);
   ++num_rows_;
+}
+
+void ColumnData::Append(const CellView& v) {
+  EnsureOwned();
+  AppendImpl(v, [&v] { return v.Hash(); });
+}
+
+void ColumnData::AppendGathered(const ColumnData& src, const int64_t* rows,
+                                int64_t n) {
+  Reserve(num_rows_ + n);  // also the EnsureOwned() write barrier
+  for (int64_t i = 0; i < n; ++i) {
+    const int64_t r = rows[i];
+    AppendImpl(src.cell(r), [&src, r] { return src.CellHash(r); });
+  }
 }
 
 void ColumnData::BecomeDouble() {
@@ -325,7 +339,7 @@ void ColumnData::PromoteToDict() {
   codes.reserve(static_cast<size_t>(std::max(reserved_rows_, num_rows_)));
   codes.resize(static_cast<size_t>(num_rows_), 0);
   for (int64_t r = 0; r < num_rows_; ++r) {
-    if (!is_null(r)) codes[r] = Intern(cell(r));
+    if (!is_null(r)) codes[r] = Intern(cell(r), CellHash(r));
   }
   codes_ = std::move(codes);
   ints_ = std::vector<int64_t>();
@@ -355,21 +369,28 @@ bool ColumnData::EntryEquals(uint32_t code, const CellView& v) const {
   return false;
 }
 
-uint32_t ColumnData::Intern(const CellView& v) {
-  // The intern map is absent after Seal() or DropInternMap(); rebuild it
-  // before deduping so existing entries are never duplicated.
-  if (sealed_ || (lookup_.empty() && !entry_types_.empty())) EnsureLookup();
-  uint64_t h = v.Hash();
-  std::vector<uint32_t>& bucket = lookup_[h];
-  for (uint32_t c : bucket) {
-    if (EntryEquals(c, v)) return c;
+uint32_t ColumnData::Intern(const CellView& v, uint64_t h) {
+  // The intern table is absent after Seal() or DropInternMap(); rebuild it
+  // before deduping so existing entries are never duplicated. Growth keeps
+  // the load at or under one half.
+  const size_t entries = entry_types_.size();
+  if ((entries + 1) * 2 > intern_slots_.size()) {
+    size_t cap = std::max<size_t>(16, intern_slots_.size());
+    while ((entries + 1) * 2 > cap) cap <<= 1;
+    RebuildInternSlots(cap);
   }
-  // Codes are uint32; a column with 2^32 distinct cells would silently wrap
-  // new codes onto existing entries. Checked per new *entry*, not per row,
-  // so the cost is invisible.
-  VER_CHECK(entry_types_.size() < UINT32_MAX)
-      << "dictionary overflow: 2^32 distinct cells in one column";
-  uint32_t code = static_cast<uint32_t>(entry_types_.size());
+  const size_t mask = intern_slots_.size() - 1;
+  size_t i = Mix64(h) & mask;
+  for (; intern_slots_[i] != kEmptySlot; i = (i + 1) & mask) {
+    const uint32_t c = intern_slots_[i];
+    if (entry_hashes_[c] == h && EntryEquals(c, v)) return c;
+  }
+  // Codes are uint32 below kEmptySlot; a column with more distinct cells
+  // would silently wrap new codes onto existing entries. Checked per new
+  // *entry*, not per row, so the cost is invisible.
+  VER_CHECK(entries < kEmptySlot)
+      << "dictionary overflow: 2^32 - 1 distinct cells in one column";
+  uint32_t code = static_cast<uint32_t>(entries);
   entry_types_.mut().push_back(static_cast<uint8_t>(v.type()));
   switch (v.type()) {
     case ValueType::kInt:
@@ -391,15 +412,17 @@ uint32_t ColumnData::Intern(const CellView& v) {
       break;  // unreachable: callers never intern nulls
   }
   entry_hashes_.mut().push_back(h);
-  bucket.push_back(code);
+  intern_slots_[i] = code;
   return code;
 }
 
-void ColumnData::EnsureLookup() {
-  lookup_.clear();
-  lookup_.reserve(entry_hashes_.size());
+void ColumnData::RebuildInternSlots(size_t cap) {
+  intern_slots_.assign(cap, kEmptySlot);
+  const size_t mask = cap - 1;
   for (uint32_t c = 0; c < entry_hashes_.size(); ++c) {
-    lookup_[entry_hashes_[c]].push_back(c);
+    size_t i = Mix64(entry_hashes_[c]) & mask;
+    while (intern_slots_[i] != kEmptySlot) i = (i + 1) & mask;
+    intern_slots_[i] = c;
   }
   sealed_ = false;
 }
@@ -647,7 +670,7 @@ void ColumnData::Seal() {
       if (!is_null(r)) code_vec[r] = rank[code_vec[r]];
     }
   }
-  std::unordered_map<uint64_t, std::vector<uint32_t>>().swap(lookup_);
+  std::vector<uint32_t>().swap(intern_slots_);
   // Serving layout: drop ingest slack (growth-doubling capacity and
   // over-reserve) — sealed columns are read-only until the next append.
   valid_words_.mut().shrink_to_fit();
@@ -665,7 +688,7 @@ void ColumnData::Seal() {
 }
 
 void ColumnData::DropInternMap() {
-  std::unordered_map<uint64_t, std::vector<uint32_t>>().swap(lookup_);
+  std::vector<uint32_t>().swap(intern_slots_);
 }
 
 size_t ColumnData::ApproxBytes() const {
@@ -683,9 +706,8 @@ size_t ColumnData::ApproxBytes() const {
   bytes += entry_lens_.capacity_bytes();
   bytes += entry_hashes_.capacity_bytes();
   bytes += arena_.capacity_bytes();
-  // Intern map estimate: node + bucket overhead per distinct hash plus the
-  // small code vectors. Zero once the column is sealed.
-  bytes += lookup_.size() * 64;
+  // Intern table: zero once the column is sealed.
+  bytes += intern_slots_.capacity() * sizeof(uint32_t);
   return bytes;
 }
 
@@ -779,7 +801,7 @@ Status ColumnData::LoadFrom(SerdeReader* r, const PagerBinding* binding) {
                            std::to_string(valid_words_.size()) +
                            " words, expected " + std::to_string(want_words));
   }
-  lookup_.clear();
+  intern_slots_.clear();
   auto check_rows = [this](size_t got, const char* what) {
     if (got != static_cast<size_t>(num_rows_)) {
       return Status::IOError("corrupt column: " + std::string(what) +

@@ -28,15 +28,16 @@
 #ifndef VER_TABLE_COLUMN_DATA_H_
 #define VER_TABLE_COLUMN_DATA_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "pager/paged_view.h"
 #include "table/value.h"
 #include "util/check.h"
+#include "util/hash.h"
 #include "util/serde.h"
 
 namespace ver {
@@ -131,33 +132,74 @@ static_assert(sizeof(CellView) == 16, "CellView must stay 16 bytes");
 /// Hash-bucketed row dedup with exact cell confirmation on collisions —
 /// the one distinct-row algorithm shared by Table::Project and the
 /// materializer's projection, so the two "bit-identical" paths cannot
-/// diverge. Rows are identified by an opaque token; `cell_at(token, c)`
-/// returns the c-th projected cell of that row.
+/// diverge. Rows are identified by an opaque nonnegative token;
+/// `cell_at(token, c)` returns the c-th projected cell of that row.
+///
+/// Layout: one flat open-addressing array of {row hash, token} slots
+/// (token -1 = empty), linear probing from Mix64(hash), <= 0.7 load. A
+/// probe confirms only slots whose stored hash matches, so equal-hash
+/// distinct rows each keep their own slot.
 class RowDeduper {
  public:
+  /// Sizes the table for `rows` inserts, so Insert never rehashes.
+  void Reserve(int64_t rows) {
+    size_t cap = 16;
+    while (cap * 7 < static_cast<size_t>(rows) * 10) cap <<= 1;
+    if (cap > slots_.size()) Rehash(cap);
+  }
+
   /// Returns true (and records the token) when the row is new; false when
   /// an equal row was inserted before. `row_hash` must be the combined
   /// hash of exactly the cells `cell_at` exposes.
   template <typename CellAt>
   bool Insert(uint64_t row_hash, int64_t token, int num_cells,
               const CellAt& cell_at) {
-    std::vector<int64_t>& kept = seen_[row_hash];
-    for (int64_t prev : kept) {
+    VER_DCHECK(token >= 0) << "negative dedup token " << token;
+    if ((size_ + 1) * 10 > slots_.size() * 7) {
+      Rehash(std::max<size_t>(16, slots_.size() * 2));
+    }
+    for (size_t i = Mix64(row_hash) & mask_;; i = (i + 1) & mask_) {
+      Slot& s = slots_[i];
+      if (s.token < 0) {
+        s.hash = row_hash;
+        s.token = token;
+        ++size_;
+        return true;
+      }
+      if (s.hash != row_hash) continue;
       bool equal = true;
       for (int c = 0; c < num_cells; ++c) {
-        if (cell_at(prev, c).Compare(cell_at(token, c)) != 0) {
+        if (cell_at(s.token, c).Compare(cell_at(token, c)) != 0) {
           equal = false;
           break;
         }
       }
       if (equal) return false;
     }
-    kept.push_back(token);
-    return true;
   }
 
  private:
-  std::unordered_map<uint64_t, std::vector<int64_t>> seen_;
+  struct Slot {
+    uint64_t hash = 0;
+    int64_t token = -1;  // -1 = empty
+  };
+
+  void Rehash(size_t cap) {
+    std::vector<Slot> old;
+    old.swap(slots_);
+    slots_.assign(cap, Slot{});
+    mask_ = cap - 1;
+    for (const Slot& s : old) {
+      if (s.token < 0) continue;
+      size_t i = Mix64(s.hash) & mask_;
+      while (slots_[i].token >= 0) i = (i + 1) & mask_;
+      slots_[i] = s;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  size_t mask_ = 0;
+  size_t size_ = 0;
 };
 
 /// One typed column. Append-only during ingest (Append / Reserve), then
@@ -176,6 +218,12 @@ class ColumnData {
 
   void Append(const Value& v) { Append(CellView::Of(v)); }
   void Append(const CellView& v);
+
+  /// Appends src.cell(rows[i]) for i < n: the same cells as n Append
+  /// calls, but a dictionary column interns each cell under the source's
+  /// CellHash (a cached entry hash for dictionary sources), so string
+  /// bytes are never re-hashed.
+  void AppendGathered(const ColumnData& src, const int64_t* rows, int64_t n);
 
   /// Zero-copy read of one cell.
   CellView cell(int64_t row) const;
@@ -317,9 +365,16 @@ class ColumnData {
   void BecomeDouble();
   void PromoteToNumeric();
   void PromoteToDict();
-  uint32_t Intern(const CellView& v);
+  /// The one append path: `hash()` yields v's Value-compatible hash and is
+  /// called only when the cell is interned into the dictionary.
+  template <typename HashFn>
+  void AppendImpl(const CellView& v, const HashFn& hash);
+  /// Code of `v` (hash `h`), adding a dictionary entry when it is new.
+  uint32_t Intern(const CellView& v, uint64_t h);
   bool EntryEquals(uint32_t code, const CellView& v) const;
-  void EnsureLookup();
+  /// Rebuilds the intern table over the current dictionary with room for
+  /// `cap` slots (a power of two above the entry count).
+  void RebuildInternSlots(size_t cap);
   /// Materializes every paged view into owned storage — the write barrier
   /// every mutating entry point runs first, so appending to a paged-loaded
   /// column transparently copies it out of the snapshot map.
@@ -357,9 +412,13 @@ class ColumnData {
   PagedView<uint32_t> entry_lens_;
   PagedView<uint64_t> entry_hashes_;  // cached Value-compatible hashes
   PagedBytes arena_;                  // string bytes, back to back
-  // Intern map: cell hash -> codes with that hash (collisions resolved by
-  // exact payload identity). Dropped by Seal(), rebuilt on demand.
-  std::unordered_map<uint64_t, std::vector<uint32_t>> lookup_;
+  // Intern map: flat open-addressing table of dictionary codes
+  // (kEmptySlot = free), linear probing from Mix64 of the cell hash; a
+  // slot matches when entry_hashes_[code] equals the probe hash and the
+  // entry is payload-identical. Load stays <= 0.5. Dropped by Seal() and
+  // DropInternMap(), rebuilt on the next intern.
+  static constexpr uint32_t kEmptySlot = UINT32_MAX;
+  std::vector<uint32_t> intern_slots_;
 };
 
 }  // namespace ver

@@ -1,6 +1,7 @@
 #include "table/table.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "util/hash.h"
 
@@ -46,6 +47,19 @@ Status Table::AppendCells(const std::vector<CellView>& row) {
   return Status::OK();
 }
 
+void Table::AppendGathered(const std::vector<const ColumnData*>& sources,
+                           const std::vector<const int64_t*>& rows,
+                           int64_t n) {
+  VER_CHECK(sources.size() == columns_.size() &&
+            rows.size() == columns_.size())
+      << "gathered append of " << sources.size() << " sources / "
+      << rows.size() << " row lists into " << columns_.size() << " columns";
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    columns_[c].AppendGathered(*sources[c], rows[c], n);
+  }
+  num_rows_ += n;
+}
+
 std::vector<Value> Table::Row(int64_t row) const {
   std::vector<Value> out;
   out.reserve(num_columns());
@@ -81,35 +95,43 @@ int64_t Table::DistinctCount(int col) const {
 Table Table::Project(const std::vector<int>& col_indices, bool distinct,
                      std::string new_name) const {
   Schema schema;
-  for (int c : col_indices) schema.AddAttribute(schema_.attribute(c));
+  std::vector<const ColumnData*> sources;
+  for (int c : col_indices) {
+    schema.AddAttribute(schema_.attribute(c));
+    sources.push_back(&columns_[c]);
+  }
   Table out(std::move(new_name), std::move(schema));
   // Distinct dedups on the row hash and confirms collisions by comparing
   // the source cells of the previously kept rows — no materialized row
-  // copies, and hash collisions cannot silently drop distinct rows.
-  RowDeduper deduper;
-  auto cell_at = [&](int64_t row, int c) { return cell(row, col_indices[c]); };
-  // Projected-row hashes are precomputed column-major through the blocked
-  // kernel (same HashCombine chain as the old per-row loop, bit-identical).
-  std::vector<uint64_t> hashes;
+  // copies, and hash collisions cannot silently drop distinct rows. The
+  // kept rows are then gathered into the output column by column.
+  std::vector<int64_t> kept;
   if (distinct) {
-    hashes.assign(static_cast<size_t>(num_rows_), 0x726f7768617368ULL);
+    // Projected-row hashes are precomputed column-major through the
+    // blocked kernel (same HashCombine chain as a per-row loop).
+    std::vector<uint64_t> hashes(static_cast<size_t>(num_rows_),
+                                 0x726f7768617368ULL);
     for (int c : col_indices) {
       columns_[c].CombineCellHashesInto(hashes.data(), num_rows_);
     }
-  }
-  std::vector<CellView> row;
-  row.reserve(col_indices.size());
-  for (int64_t r = 0; r < num_rows_; ++r) {
-    if (distinct) {
-      if (!deduper.Insert(hashes[r], r, static_cast<int>(col_indices.size()),
-                          cell_at)) {
-        continue;
+    RowDeduper deduper;
+    deduper.Reserve(num_rows_);
+    auto cell_at = [&](int64_t row, int c) {
+      return cell(row, col_indices[c]);
+    };
+    for (int64_t r = 0; r < num_rows_; ++r) {
+      if (deduper.Insert(hashes[r], r, static_cast<int>(col_indices.size()),
+                         cell_at)) {
+        kept.push_back(r);
       }
     }
-    row.clear();
-    for (int c : col_indices) row.push_back(cell(r, c));
-    (void)out.AppendCells(row);  // arity always matches by construction
+  } else {
+    kept.resize(static_cast<size_t>(num_rows_));
+    std::iota(kept.begin(), kept.end(), int64_t{0});
   }
+  out.AppendGathered(sources,
+                     std::vector<const int64_t*>(sources.size(), kept.data()),
+                     static_cast<int64_t>(kept.size()));
   out.DropInternMaps();
   return out;
 }

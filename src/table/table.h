@@ -47,6 +47,14 @@ class Table {
   /// AppendRow.
   Status AppendCells(const std::vector<CellView>& row);
 
+  /// Appends `n` rows column by column: column c receives
+  /// sources[c]->cell(rows[c][i]) for i < n — the rows n AppendCells calls
+  /// would append, without a per-row cell vector, and dictionary columns
+  /// intern under the source's cached cell hashes (ColumnData::
+  /// AppendGathered). `sources` and `rows` hold one entry per column.
+  void AppendGathered(const std::vector<const ColumnData*>& sources,
+                      const std::vector<const int64_t*>& rows, int64_t n);
+
   /// Legacy accessor: materializes an owning Value copy of one cell.
   /// Scan loops must use cell()/cell_hash()/column_data() instead. Allowed
   /// (cold) call sites: the storage-equivalence tests and

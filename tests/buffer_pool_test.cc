@@ -142,6 +142,35 @@ TEST(BufferPoolTest, EvictionRespectsBudgetAndSkipsPinned) {
   pool.Unpin(space, 0, 2 * kFrame);
 }
 
+TEST(BufferPoolTest, PeakResidencyStaysWithinBudgetAcrossMisses) {
+  Arena arena(16 * kFrame);
+  ASSERT_NE(arena.base(), nullptr);
+  // Budget of 4 frames; every pin below fits in it, so the pool must evict
+  // before it charges past the budget and the high-water mark may never
+  // pass it.
+  const int64_t budget = 4 * kFrame;
+  BufferPool pool(SmallPool(static_cast<uint64_t>(budget)));
+  uint32_t space = pool.RegisterSpace(arena.base(), arena.bytes());
+  for (int pass = 0; pass < 2; ++pass) {
+    for (uint64_t f = 0; f < 16; ++f) {
+      pool.Pin(space, f * kFrame, kFrame);
+      pool.Unpin(space, f * kFrame, kFrame);
+    }
+    // Two-frame pins: the second frame of each pin misses while the first
+    // is still held.
+    for (uint64_t f = 0; f + 1 < 16; f += 2) {
+      pool.Pin(space, f * kFrame, 2 * kFrame);
+      pool.Unpin(space, f * kFrame, 2 * kFrame);
+    }
+  }
+  BufferPoolStats s = pool.stats();
+  EXPECT_GT(s.misses, 16);  // frames were evicted and reloaded
+  EXPECT_GT(s.evictions, 0);
+  EXPECT_EQ(s.pinned_overcommit, 0);
+  EXPECT_LE(s.peak_resident_bytes, budget);
+  EXPECT_LE(s.resident_bytes, budget);
+}
+
 TEST(BufferPoolTest, PinnedWorkingSetMayOvercommitButIsCounted) {
   Arena arena(8 * kFrame);
   ASSERT_NE(arena.base(), nullptr);

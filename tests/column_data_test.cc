@@ -165,6 +165,147 @@ TEST(ColumnDataTest, IntAndDoubleTwinsAreDistinctDictEntries) {
   EXPECT_EQ(col.DistinctHashes().size(), 2u);
 }
 
+TEST(ColumnDataTest, InterningSurvivesManyRehashes) {
+  // 5000 distinct strings grow the flat intern table from 16 slots through
+  // nine doublings; every repeat must find its first appearance's code,
+  // and codes must follow first-appearance order.
+  ColumnData col;
+  constexpr int kDistinct = 5000;
+  for (int i = 0; i < kDistinct; ++i) {
+    col.Append(CellView::String("s" + std::to_string(i)));
+    // Re-append an earlier value after every insert.
+    col.Append(CellView::String("s" + std::to_string(i / 2)));
+  }
+  ASSERT_TRUE(col.is_dict());
+  EXPECT_EQ(col.dict_size(), static_cast<size_t>(kDistinct));
+  for (int i = 0; i < kDistinct; ++i) {
+    EXPECT_EQ(col.code(2 * i), static_cast<uint32_t>(i)) << i;
+    EXPECT_EQ(col.code(2 * i + 1), static_cast<uint32_t>(i / 2)) << i;
+    EXPECT_EQ(col.cell(2 * i + 1).AsStringView(),
+              "s" + std::to_string(i / 2));
+    EXPECT_EQ(col.CellHash(2 * i),
+              Value::String("s" + std::to_string(i)).Hash());
+  }
+}
+
+TEST(ColumnDataTest, IntDoubleTwinsStayDistinctAcrossRehashes) {
+  // Twins hash equal, so every pair shares one probe chain; the intern
+  // table must still keep one entry per (type, payload).
+  ColumnData col;
+  col.Append(CellView::String("tag"));
+  constexpr int kPairs = 2000;
+  for (int i = 0; i < kPairs; ++i) {
+    col.Append(CellView::Int(i));
+    col.Append(CellView::Double(static_cast<double>(i)));
+  }
+  ASSERT_EQ(col.dict_size(), 1u + 2u * kPairs);
+  for (int i = 0; i < kPairs; ++i) {
+    col.Append(CellView::Double(static_cast<double>(i)));
+    col.Append(CellView::Int(i));
+  }
+  EXPECT_EQ(col.dict_size(), 1u + 2u * kPairs);
+  for (int i = 0; i < kPairs; ++i) {
+    const int64_t int_row = 1 + 2 * i, double_row = 2 + 2 * i;
+    const int64_t again = 1 + 2 * kPairs + 2 * i;  // Double, then Int
+    EXPECT_NE(col.code(int_row), col.code(double_row)) << i;
+    EXPECT_EQ(col.code(again), col.code(double_row)) << i;
+    EXPECT_EQ(col.code(again + 1), col.code(int_row)) << i;
+    EXPECT_EQ(col.cell(again).type(), ValueType::kDouble);
+    EXPECT_EQ(col.cell(again + 1).type(), ValueType::kInt);
+  }
+}
+
+TEST(ColumnDataTest, AppendAfterSealAndAfterDropInternMap) {
+  for (bool seal : {true, false}) {
+    ColumnData col;
+    for (int i = 0; i < 100; ++i) {
+      col.Append(CellView::String("v" + std::to_string(99 - i)));
+    }
+    if (seal) {
+      col.Seal();
+      ASSERT_TRUE(col.sealed());
+    } else {
+      col.DropInternMap();
+    }
+    const uint32_t code_of_v42 = col.code(99 - 42);  // sorted when sealed
+    // Existing values map to their (possibly re-laid-out) codes; new
+    // values get fresh codes past the dictionary, through rehashes.
+    col.Append(CellView::String("v42"));
+    EXPECT_FALSE(col.sealed());
+    EXPECT_EQ(col.code(100), code_of_v42) << "seal=" << seal;
+    for (int i = 100; i < 300; ++i) {
+      col.Append(CellView::String("v" + std::to_string(i)));
+      col.Append(CellView::String("v" + std::to_string(i - 100)));
+    }
+    EXPECT_EQ(col.dict_size(), 300u) << "seal=" << seal;
+    for (int64_t r = 101; r < col.size(); r += 2) {
+      EXPECT_EQ(col.code(r), static_cast<uint32_t>(100 + (r - 101) / 2));
+    }
+    for (int64_t r = 0; r < col.size(); ++r) {
+      EXPECT_EQ(col.CellHash(r), col.cell(r).Hash()) << r;
+    }
+  }
+}
+
+TEST(ColumnDataTest, AppendGatheredMatchesCellAppends) {
+  // Every encoding as a source, gathered in a shuffled order with repeats:
+  // the gathered column must equal one built by per-cell Append.
+  std::vector<std::vector<Value>> sources = {
+      {Value::Int(3), Value::Null(), Value::Int(-7), Value::Int(3)},
+      {Value::Double(1.5), Value::Null(), Value::Double(-0.0)},
+      {Value::Int(1), Value::Double(1.0), Value::Null(), Value::Int(2)},
+      {Value::String("a"), Value::Int(1), Value::Double(1.0), Value::Null(),
+       Value::String("a"), Value::String("b")},
+  };
+  for (const std::vector<Value>& cells : sources) {
+    ColumnData src;
+    for (const Value& v : cells) src.Append(v);
+    std::vector<int64_t> rows;
+    for (int rep = 0; rep < 3; ++rep) {
+      for (int64_t r = src.size() - 1; r >= 0; --r) rows.push_back(r);
+    }
+    ColumnData gathered, appended;
+    gathered.Append(CellView::String("first"));  // a dict destination
+    appended.Append(CellView::String("first"));
+    gathered.AppendGathered(src, rows.data(),
+                            static_cast<int64_t>(rows.size()));
+    for (int64_t r : rows) appended.Append(src.cell(r));
+    ASSERT_EQ(gathered.size(), appended.size());
+    EXPECT_EQ(gathered.dict_size(), appended.dict_size());
+    for (int64_t r = 0; r < gathered.size(); ++r) {
+      EXPECT_EQ(gathered.is_null(r), appended.is_null(r)) << r;
+      if (gathered.is_null(r)) continue;
+      EXPECT_EQ(gathered.code(r), appended.code(r)) << r;
+      EXPECT_EQ(gathered.cell(r).type(), appended.cell(r).type()) << r;
+      EXPECT_EQ(gathered.cell(r).ToText(), appended.cell(r).ToText()) << r;
+    }
+  }
+}
+
+// ------------------------------- RowDeduper ------------------------------
+
+TEST(RowDeduperTest, EqualHashDistinctRowsAreAllKept) {
+  // Rows are single cells; every row gets the same forced hash, so each
+  // insert probes past all earlier rows and must compare cells exactly.
+  std::vector<CellView> rows;
+  for (int i = 0; i < 200; ++i) rows.push_back(CellView::Int(i));
+  auto cell_at = [&rows](int64_t token, int) { return rows[token]; };
+  RowDeduper deduper;  // no Reserve: growth rehashes along the way
+  constexpr uint64_t kForcedHash = 42;
+  for (int64_t t = 0; t < 200; ++t) {
+    EXPECT_TRUE(deduper.Insert(kForcedHash, t, 1, cell_at)) << t;
+  }
+  rows.push_back(CellView::Int(17));        // token 200 repeats row 17
+  rows.push_back(CellView::Double(17.0));   // token 201: compare-equal twin
+  rows.push_back(CellView::String("17"));   // token 202: distinct
+  EXPECT_FALSE(deduper.Insert(kForcedHash, 200, 1, cell_at));
+  EXPECT_FALSE(deduper.Insert(kForcedHash, 201, 1, cell_at));
+  EXPECT_TRUE(deduper.Insert(kForcedHash, 202, 1, cell_at));
+  // The same row under a different hash is not found (the caller's hash
+  // must cover the cells), so it is kept.
+  EXPECT_TRUE(deduper.Insert(7, 200, 1, cell_at));
+}
+
 // ----------------------------- null bitmap -------------------------------
 
 TEST(ColumnDataTest, NullBitmapAtWordBoundaries) {
