@@ -57,6 +57,8 @@ JoinGraphSearchResult SearchJoinGraphs(
   std::set<std::vector<int32_t>> joinable_groups;
   // Dedup of (graph, projection) candidates.
   std::unordered_set<std::string> seen_candidates;
+  // signatures[i] = result.candidates[i].graph.Signature(), the sort key.
+  std::vector<std::string> signatures;
 
   for (CombinationIterator it(sizes); !it.done(); it.Next()) {
     if (result.num_combinations >= options.max_combinations) break;
@@ -108,8 +110,8 @@ JoinGraphSearchResult SearchJoinGraphs(
       cand.projection = combo;
       cand.score = g.score;
       cand.graph = std::move(g);
-      cand.signature = cand.graph.Signature();
-      std::string key = cand.signature + "|";
+      std::string signature = cand.graph.Signature();
+      std::string key = signature + "|";
       std::vector<uint64_t> proj;
       for (const ColumnRef& c : cand.projection) proj.push_back(c.Encode());
       std::sort(proj.begin(), proj.end());
@@ -119,6 +121,7 @@ JoinGraphSearchResult SearchJoinGraphs(
       }
       if (seen_candidates.insert(key).second) {
         result.candidates.push_back(std::move(cand));
+        signatures.push_back(std::move(signature));
       }
     }
   }
@@ -134,12 +137,13 @@ JoinGraphSearchResult SearchJoinGraphs(
   std::vector<size_t> order(result.candidates.size());
   std::iota(order.begin(), order.end(), size_t{0});
   const std::vector<ViewCandidate>& cands = result.candidates;
-  std::sort(order.begin(), order.end(), [&cands](size_t a, size_t b) {
-    if (cands[a].score != cands[b].score) {
-      return cands[a].score > cands[b].score;
-    }
-    return cands[a].signature < cands[b].signature;
-  });
+  std::sort(order.begin(), order.end(),
+            [&cands, &signatures](size_t a, size_t b) {
+              if (cands[a].score != cands[b].score) {
+                return cands[a].score > cands[b].score;
+              }
+              return signatures[a] < signatures[b];
+            });
   std::vector<ViewCandidate> ranked;
   ranked.reserve(order.size());
   for (size_t i : order) ranked.push_back(std::move(result.candidates[i]));
@@ -168,8 +172,7 @@ bool CandidateMaterializer::Materialize(const ViewCandidate& candidate) {
   // Views with identical content are still distinct candidates (the 4C
   // stage is what merges compatible views); dedupe only exact
   // graph+projection duplicates produced by symmetric enumeration.
-  std::string key = candidate.signature.empty() ? candidate.graph.Signature()
-                                                : candidate.signature;
+  std::string key = candidate.graph.Signature();
   for (const ColumnRef& c : candidate.projection) {
     key.push_back('|');
     key += std::to_string(c.Encode());

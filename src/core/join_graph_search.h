@@ -44,9 +44,6 @@ struct ViewCandidate {
   JoinGraph graph;
   std::vector<ColumnRef> projection;
   double score = 0.0;
-  /// graph.Signature(), computed once by SearchJoinGraphs; empty means
-  /// not computed (CandidateMaterializer then derives it).
-  std::string signature;
 };
 
 struct JoinGraphSearchResult {

@@ -450,7 +450,9 @@ TEST_P(MaterializerPropertyTest, RandomGraphsThroughOneSharedMaterializer) {
   constexpr int kTables = 4;
   for (int t = 0; t < kTables; ++t) {
     Table table("t" + std::to_string(t), MakeSchema({"k1", "k2", "v"}));
-    const int rows = static_cast<int>(rng.UniformInt(1, 9));
+    // Up to 30 rows, so most first extends probe in several 8-key batches
+    // and every key fans out to several build rows.
+    const int rows = static_cast<int>(rng.UniformInt(1, 30));
     for (int i = 0; i < rows; ++i) {
       auto key = [&rng]() {
         return rng.Bernoulli(0.1)

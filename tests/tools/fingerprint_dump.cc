@@ -13,11 +13,10 @@
 // (on one line). Lakes, example rows and configuration are fixed, so the
 // output depends only on the code under test.
 //
-// Usage: fingerprint_dump [--lake=open_data|wdc|all]
+// Usage: fingerprint_dump (no arguments)
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "api/discovery_request.h"
@@ -75,29 +74,12 @@ bool DumpLake(const char* lake, const ver::GeneratedDataset& data) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::string lake = "all";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--lake=", 7) == 0) {
-      lake = argv[i] + 7;
-    } else {
-      std::fprintf(stderr, "usage: %s [--lake=open_data|wdc|all]\n", argv[0]);
-      return 2;
-    }
-  }
-  if (lake != "all" && lake != "open_data" && lake != "wdc") {
-    std::fprintf(stderr, "unknown lake '%s'\n", lake.c_str());
-    return 2;
-  }
-  if (lake != "wdc" &&
-      !DumpLake("open_data", ver::GenerateOpenDataLike(ver::OpenDataSpec()))) {
+int main() {
+  if (!DumpLake("open_data", ver::GenerateOpenDataLike(ver::OpenDataSpec()))) {
     return 1;
   }
-  if (lake != "open_data") {
-    ver::WdcSpec wdc;
-    wdc.versions_per_topic = 5;
-    wdc.num_filler_tables = 40;
-    if (!DumpLake("wdc", ver::GenerateWdcLike(wdc))) return 1;
-  }
-  return 0;
+  ver::WdcSpec wdc;
+  wdc.versions_per_topic = 5;
+  wdc.num_filler_tables = 40;
+  return DumpLake("wdc", ver::GenerateWdcLike(wdc)) ? 0 : 1;
 }
